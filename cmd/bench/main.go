@@ -980,18 +980,45 @@ func costPoints(quick bool) []expt.ScalePoint {
 	return pts
 }
 
-// costSolve runs one grid solve and returns the features the server
-// would price it by, the result, and the wall time.
-func costSolve(g *nearclique.Graph, pt expt.ScalePoint, eng nearclique.Engine, seed int64) (costmodel.Features, *nearclique.Result, int64, error) {
+// costObs is one grid run as the cost model observes it: the features
+// the server would price it by, its rounds (leaves for shadow counting,
+// which has no message rounds), payload bytes and wall time.
+type costObs struct {
+	feat                costmodel.Features
+	rounds, bytes, wall int64
+}
+
+// costCell is one engine family of the fit/check grid: its label and a
+// function running one coin seed at one grid point.
+type costCell struct {
+	label string
+	run   func(g *nearclique.Graph, pt expt.ScalePoint, seed int64) (costObs, error)
+}
+
+// costCells is the one list of families -costfit fits, -costcheck gates
+// and the artifact test requires reliable predictions for: the solve
+// engines of costEngines, then shadow counting.
+func costCells() []costCell {
+	var cells []costCell
+	for _, eng := range costEngines {
+		cells = append(cells, costCell{eng.String(), func(g *nearclique.Graph, pt expt.ScalePoint, seed int64) (costObs, error) {
+			return costSolve(g, pt, eng, seed)
+		}})
+	}
+	return append(cells, costCell{"shadow", costCount})
+}
+
+// costSolve runs one grid solve.
+func costSolve(g *nearclique.Graph, pt expt.ScalePoint, eng nearclique.Engine, seed int64) (costObs, error) {
 	sample := 4 * float64(pt.N) / float64(pt.Size)
-	feat := costmodel.Features{
+	obs := costObs{feat: costmodel.Features{
 		Engine:   eng.String(),
 		N:        g.N(),
 		M:        g.M(),
 		Epsilon:  expt.ScaleEps,
 		Sample:   sample,
 		Versions: 1,
-	}
+	}}
 	solver, err := nearclique.New(
 		nearclique.WithEngine(eng),
 		nearclique.WithEpsilon(expt.ScaleEps),
@@ -1000,15 +1027,16 @@ func costSolve(g *nearclique.Graph, pt expt.ScalePoint, eng nearclique.Engine, s
 		nearclique.WithSeed(seed),
 	)
 	if err != nil {
-		return feat, nil, 0, err
+		return obs, err
 	}
 	start := time.Now()
 	res, err := solver.Solve(context.Background(), g)
-	wall := time.Since(start).Nanoseconds()
+	obs.wall = time.Since(start).Nanoseconds()
 	if err != nil {
-		return feat, nil, 0, fmt.Errorf("costfit %s n=%d: %w", eng, pt.N, err)
+		return obs, fmt.Errorf("costfit %s n=%d: %w", eng, pt.N, err)
 	}
-	return feat, res, wall, nil
+	obs.rounds, obs.bytes = int64(res.Metrics.Rounds), int64(res.Metrics.Bits)/8
+	return obs, nil
 }
 
 // costCountK is the clique size the shadow rows of the fit/check grid
@@ -1019,17 +1047,16 @@ const (
 	costCountSamples = 4096
 )
 
-// costCount runs one grid count and returns the features the server
-// would price it by, the result, and the wall time — the counting twin
-// of costSolve.
-func costCount(g *nearclique.Graph, seed int64) (costmodel.Features, *nearclique.CountResult, int64, error) {
-	feat := costmodel.Features{
+// costCount runs one grid count — the counting twin of costSolve. The
+// grid point only sizes the graph; the count parameters are fixed.
+func costCount(g *nearclique.Graph, _ expt.ScalePoint, seed int64) (costObs, error) {
+	obs := costObs{feat: costmodel.Features{
 		Engine: "shadow",
 		N:      g.N(),
 		M:      g.M(),
 		Sample: costCountSamples,
 		K:      costCountK,
-	}
+	}}
 	solver, err := nearclique.New(
 		nearclique.WithEngine(nearclique.EngineShadow),
 		nearclique.WithCliqueSize(costCountK),
@@ -1037,53 +1064,58 @@ func costCount(g *nearclique.Graph, seed int64) (costmodel.Features, *nearclique
 		nearclique.WithSeed(seed),
 	)
 	if err != nil {
-		return feat, nil, 0, err
+		return obs, err
 	}
 	start := time.Now()
 	res, err := solver.Count(context.Background(), g)
-	wall := time.Since(start).Nanoseconds()
+	obs.wall = time.Since(start).Nanoseconds()
 	if err != nil {
-		return feat, nil, 0, fmt.Errorf("costfit shadow n=%d: %w", g.N(), err)
+		return obs, fmt.Errorf("costfit shadow n=%d: %w", g.N(), err)
 	}
-	return feat, res, wall, nil
+	obs.rounds = int64(res.CliqueLeaves + res.NearLeaves)
+	return obs, nil
 }
 
-// costFitGrid solves the fixed grid and fits the admission cost model on
-// the observed (rounds, bytes, wall) triples — the COSTMODEL.json
-// generator. Shadow counting rows observe leaves in place of rounds (the
-// estimator has no message rounds) and train the same regression the
-// /v1/count admission path prices by.
+// costFitGrid runs every cell of the fixed grid and fits the admission
+// cost model on the observed (rounds, bytes, wall) triples — the
+// COSTMODEL.json generator. The shadow rows train the same regression
+// the /v1/count admission path prices by.
 func costFitGrid(stderr io.Writer, quick bool, seed int64) (*costmodel.Model, error) {
 	model := costmodel.New()
 	for _, pt := range costPoints(quick) {
 		inst := expt.ScaleInstance(pt, seed)
 		inst.Graph.CSR()
-		for _, eng := range costEngines {
-			fmt.Fprintf(stderr, "bench: costfit %s n=%d...\n", eng, pt.N)
+		for _, cell := range costCells() {
+			fmt.Fprintf(stderr, "bench: costfit %s n=%d...\n", cell.label, pt.N)
 			for i := 0; i < costFitSeeds; i++ {
-				feat, res, wall, err := costSolve(inst.Graph, pt, eng, seed+1+int64(i))
+				o, err := cell.run(inst.Graph, pt, seed+1+int64(i))
 				if err != nil {
 					return nil, err
 				}
-				model.Observe(feat, int64(res.Metrics.Rounds), int64(res.Metrics.Bits)/8, wall)
+				model.Observe(o.feat, o.rounds, o.bytes, o.wall)
 			}
-		}
-		fmt.Fprintf(stderr, "bench: costfit shadow n=%d...\n", pt.N)
-		for i := 0; i < costFitSeeds; i++ {
-			feat, res, wall, err := costCount(inst.Graph, seed+1+int64(i))
-			if err != nil {
-				return nil, err
-			}
-			model.Observe(feat, int64(res.CliqueLeaves+res.NearLeaves), 0, wall)
 		}
 	}
 	return model, nil
 }
 
-// costCheck is the CI drift gate: re-solve the fixed grid with the SAME
+// loadCostModel reads a committed cost-model artifact.
+func loadCostModel(path string) (*costmodel.Model, error) {
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("reading cost model: %w (generate with -costfit)", err)
+	}
+	model := costmodel.New()
+	if err := json.Unmarshal(blob, model); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return model, nil
+}
+
+// costCheck is the CI drift gate: re-run every grid cell with the SAME
 // coin seeds the fit observed and compare the geometric mean of observed
-// wall times against the committed model's prediction. Solves are
-// deterministic per seed, so re-solving the fit seeds replays the exact
+// wall times against the committed model's prediction. Runs are
+// deterministic per seed, so re-running the fit seeds replays the exact
 // same work — per-seed work variance (15x at n=5·10⁴, from how many
 // leaders the coins sample and how big their neighborhoods are) cancels,
 // and the ratio isolates actual engine cost changes. Each seed takes the
@@ -1091,79 +1123,48 @@ func costFitGrid(stderr io.Writer, quick bool, seed int64) (*costmodel.Model, er
 // either direction fails — the committed pricing artifact must be
 // regenerated when the engines' cost structure actually changes.
 func costCheck(stderr io.Writer, quick bool, seed int64, path string) error {
-	blob, err := os.ReadFile(path)
+	model, err := loadCostModel(path)
 	if err != nil {
-		return fmt.Errorf("reading cost model: %w (generate with -costfit)", err)
-	}
-	model := costmodel.New()
-	if err := json.Unmarshal(blob, model); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
+		return err
 	}
 	failed := false
-	// check compares one cell's observed geometric-mean wall time against
-	// the committed prediction, shared by the solve and count cells.
-	check := func(label string, n int, feat costmodel.Features, observed float64) error {
-		pred := model.Predict(feat)
-		if !pred.Reliable() {
-			return fmt.Errorf("no reliable %s prediction in %s (samples=%d): refit with -costfit",
-				label, path, pred.Samples)
-		}
-		ratio := observed / pred.NS
-		if ratio < 1 {
-			ratio = 1 / ratio
-		}
-		status := "ok"
-		if ratio > costDriftLimit {
-			status = "DRIFT"
-			failed = true
-		}
-		fmt.Fprintf(stderr, "bench: costcheck %s n=%d predicted=%.2fms observed=%.2fms ratio=%.2f %s\n",
-			label, n, pred.NS/1e6, observed/1e6, ratio, status)
-		return nil
-	}
 	for _, pt := range costPoints(quick) {
 		inst := expt.ScaleInstance(pt, seed)
 		inst.Graph.CSR()
-		for _, eng := range costEngines {
+		for _, cell := range costCells() {
 			var logSum float64
 			var feat costmodel.Features
 			for i := 0; i < costFitSeeds; i++ {
 				var best int64
 				for rep := 0; rep < 2; rep++ {
-					f, _, wall, err := costSolve(inst.Graph, pt, eng, seed+1+int64(i))
+					o, err := cell.run(inst.Graph, pt, seed+1+int64(i))
 					if err != nil {
 						return err
 					}
-					if rep == 0 || wall < best {
-						best = wall
+					if rep == 0 || o.wall < best {
+						best = o.wall
 					}
-					feat = f
+					feat = o.feat
 				}
 				logSum += math.Log(float64(best))
 			}
-			if err := check(eng.String(), pt.N, feat, math.Exp(logSum/costFitSeeds)); err != nil {
-				return err
+			observed := math.Exp(logSum / costFitSeeds)
+			pred := model.Predict(feat)
+			if !pred.Reliable() {
+				return fmt.Errorf("no reliable %s prediction in %s (samples=%d): refit with -costfit",
+					cell.label, path, pred.Samples)
 			}
-		}
-		// The shadow counting cell: same seeds, same best-of-2, same gate.
-		var logSum float64
-		var feat costmodel.Features
-		for i := 0; i < costFitSeeds; i++ {
-			var best int64
-			for rep := 0; rep < 2; rep++ {
-				f, _, wall, err := costCount(inst.Graph, seed+1+int64(i))
-				if err != nil {
-					return err
-				}
-				if rep == 0 || wall < best {
-					best = wall
-				}
-				feat = f
+			ratio := observed / pred.NS
+			if ratio < 1 {
+				ratio = 1 / ratio
 			}
-			logSum += math.Log(float64(best))
-		}
-		if err := check("shadow", pt.N, feat, math.Exp(logSum/costFitSeeds)); err != nil {
-			return err
+			status := "ok"
+			if ratio > costDriftLimit {
+				status = "DRIFT"
+				failed = true
+			}
+			fmt.Fprintf(stderr, "bench: costcheck %s n=%d predicted=%.2fms observed=%.2fms ratio=%.2f %s\n",
+				cell.label, pt.N, pred.NS/1e6, observed/1e6, ratio, status)
 		}
 	}
 	if failed {

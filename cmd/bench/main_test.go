@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"nearclique/internal/expt"
 )
 
 func TestBenchQuickEmitsValidJSON(t *testing.T) {
@@ -190,6 +192,32 @@ func TestBenchCountQuickEmitsValidJSON(t *testing.T) {
 		}
 		if r.GraphDigest == "" {
 			t.Fatalf("count row missing graph digest: %+v", r)
+		}
+	}
+}
+
+// TestCommittedCostModelCoversGate: the committed COSTMODEL.json must
+// reliably price every cell the -costcheck gate checks at every quick
+// grid point, so an artifact regenerated for only some engine families
+// fails here instead of turning the CI drift gate red after merge. It
+// walks the same costCells list the gate and -costfit walk.
+func TestCommittedCostModelCoversGate(t *testing.T) {
+	model, err := loadCostModel(filepath.Join("..", "..", "COSTMODEL.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 1 // the -seed default the gate runs at
+	for _, pt := range costPoints(true) {
+		inst := expt.ScaleInstance(pt, seed)
+		for _, cell := range costCells() {
+			o, err := cell.run(inst.Graph, pt, seed+1)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", cell.label, pt.N, err)
+			}
+			if pred := model.Predict(o.feat); !pred.Reliable() {
+				t.Errorf("COSTMODEL.json has no reliable %s prediction at n=%d (samples=%d): refit with -costfit",
+					cell.label, pt.N, pred.Samples)
+			}
 		}
 	}
 }

@@ -20,6 +20,7 @@
 //	DELETE /v1/graphs/{name}   unload (in-flight solves finish first)
 //	POST   /v1/solve           {"graph":..., "engine":..., "epsilon":..., "seed":..., ...}
 //	POST   /v1/batch           {"requests":[...]} — NDJSON stream of results
+//	POST   /v1/count           {"graph":..., "k":..., "samples":..., ...} — Turán-shadow clique counts
 //
 // Example session:
 //

@@ -31,6 +31,11 @@ const (
 	DefaultMaxComponentSize = 16
 	// HardMaxComponentSize is the absolute cap accepted via Options.
 	HardMaxComponentSize = 22
+	// HardMaxVersions caps the boosting parameter λ. Every run allocates
+	// per-version state up front (and the sharded engine n×λ of it), so an
+	// unbounded λ is an unbounded allocation; §4.1 boosting needs only
+	// λ = O(log n), and no experiment uses more than 8.
+	HardMaxVersions = 64
 )
 
 // ErrComponentTooLarge is returned when a sampled component of G[S]
@@ -141,6 +146,9 @@ func (o Options) validated(n int) (Options, error) {
 	}
 	if o.Versions <= 0 {
 		o.Versions = 1
+	}
+	if o.Versions > HardMaxVersions {
+		return o, fmt.Errorf("core: Versions %d above %d", o.Versions, HardMaxVersions)
 	}
 	if o.MaxComponentSize == 0 {
 		o.MaxComponentSize = DefaultMaxComponentSize

@@ -204,36 +204,60 @@ func TestBatchDeadlinesAnchorAtAdmission(t *testing.T) {
 	}
 }
 
-// TestSolvePanicIsContained: a panic inside one solve must answer that
-// request with 500 and leave the worker pool fully serviceable — the
-// daemon, unlike the one-shot CLI, must outlive a poisoned request.
+// TestSolvePanicIsContained: a panic inside one job must answer that
+// request with 500 — or, for a batch item, an in-band error line — and
+// leave the worker pool fully serviceable: the daemon, unlike the
+// one-shot CLI, must outlive a poisoned request. One row per request
+// kind, since every kind runs behind the same barrier.
 func TestSolvePanicIsContained(t *testing.T) {
 	path := writeTestSnapshot(t)
-	s := New(Config{Concurrency: 1, CacheBytes: -1})
-	defer s.Close()
-	panics := true
-	s.testHookBeforeSolve = func() {
-		if panics {
-			panics = false
-			panic("poisoned request")
-		}
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	if _, err := s.LoadGraph("g", path); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name, url, poisoned, next string
+		status                    int
+	}{
+		{"solve", "/v1/solve", `{"graph":"g","seed":1}`, `{"graph":"g","seed":2}`, http.StatusInternalServerError},
+		{"count", "/v1/count", `{"graph":"g","seed":1}`, `{"graph":"g","seed":2}`, http.StatusInternalServerError},
+		// The poisoned item is the batch's first; the panic surfaces
+		// in-band and the stream (and its 200) carries on.
+		{"batch", "/v1/batch", `{"requests":[{"graph":"g","seed":1},{"graph":"g","seed":2}]}`,
+			`{"requests":[{"graph":"g","seed":3}]}`, http.StatusOK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{Concurrency: 1, CacheBytes: -1})
+			defer s.Close()
+			panics := true
+			s.testHookBeforeSolve = func() {
+				if panics {
+					panics = false
+					panic("poisoned request")
+				}
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			if _, err := s.LoadGraph("g", path); err != nil {
+				t.Fatal(err)
+			}
 
-	status, body, _ := post(t, ts.URL+"/v1/solve", `{"graph":"g","seed":1}`)
-	if status != http.StatusInternalServerError {
-		t.Fatalf("panicking solve: status %d body %s, want 500", status, body)
-	}
-	if !strings.Contains(string(body), "poisoned request") {
-		t.Fatalf("panic not surfaced in the error body: %s", body)
-	}
-	// The pool survived: the next request is served normally.
-	if status, body, _ := post(t, ts.URL+"/v1/solve", `{"graph":"g","seed":2}`); status != http.StatusOK {
-		t.Fatalf("solve after panic: status %d body %s", status, body)
+			status, body, _ := post(t, ts.URL+tc.url, tc.poisoned)
+			if status != tc.status {
+				t.Fatalf("panicking %s: status %d body %s, want %d", tc.name, status, body, tc.status)
+			}
+			if !strings.Contains(string(body), "poisoned request") {
+				t.Fatalf("panic not surfaced in the error body: %s", body)
+			}
+			if tc.name == "batch" {
+				lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+				if len(lines) != 2 || !strings.Contains(lines[0], "poisoned request") ||
+					strings.Contains(lines[1], `"error"`) {
+					t.Fatalf("panic should cost only the poisoned item's line: %s", body)
+				}
+			}
+			// The pool survived: the next request is served normally.
+			if status, body, _ := post(t, ts.URL+tc.url, tc.next); status != http.StatusOK ||
+				strings.Contains(string(body), `"error"`) {
+				t.Fatalf("%s after panic: status %d body %s", tc.name, status, body)
+			}
+		})
 	}
 }
 

@@ -82,7 +82,7 @@ func resolveKey(t *testing.T, req SolveRequest) string {
 	if err != nil {
 		t.Fatalf("resolve(%+v): %v", req, err)
 	}
-	return cacheKey("digest", p)
+	return p.key("digest")
 }
 
 // TestCacheKeyParamOrderings: requests that spell the same run

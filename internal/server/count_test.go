@@ -20,7 +20,7 @@ func resolveCountKey(t *testing.T, req CountRequest) string {
 	if err != nil {
 		t.Fatalf("resolve(%+v): %v", req, err)
 	}
-	return countCacheKey("digest", p)
+	return p.key("digest")
 }
 
 // TestCountCacheKeyParamOrderings is the counting twin of

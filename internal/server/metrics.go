@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync/atomic"
+	"time"
 
 	"nearclique/internal/obs"
 	"nearclique/internal/report"
@@ -103,18 +104,9 @@ func (m *serverMetrics) bind(s *Server) {
 		func() float64 { return float64(len(s.reg.list())) })
 }
 
-// endpointHist returns the request histogram for one endpoint label.
-func (m *serverMetrics) endpointHist(endpoint string) *obs.Histogram {
-	switch endpoint {
-	case "solve":
-		return m.solve
-	case "batch":
-		return m.batch
-	case "count":
-		return m.count
-	}
-	return nil
-}
+// observeSince records one request latency in an endpoint histogram;
+// handlers defer it with their entry instant.
+func observeSince(h *obs.Histogram, start time.Time) { h.Observe(time.Since(start)) }
 
 // latencySection builds the /statz latency section from the same
 // histograms /metricsz exposes. Endpoints with no traffic are omitted;

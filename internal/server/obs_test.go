@@ -460,6 +460,22 @@ func TestBatchTraceIDs(t *testing.T) {
 			t.Errorf("item %d trace_id %q, want %q", i, run.Trace.TraceID, want)
 		}
 	}
+
+	// A traced batch shed at admission still carries its id, like a shed
+	// /v1/solve or /v1/count: the header is set before admission.
+	s.Drain()
+	resp, err = http.Post(ts.URL+"/v1/batch", "application/json",
+		strings.NewReader(`{"requests":[{"graph":"g","engine":"seq","seed":4,"flight":32}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("traced batch on a drained server: status %d, want 503", resp.StatusCode)
+	}
+	if id := resp.Header.Get("X-Nearclique-Trace-Id"); id == "" || id == batchID {
+		t.Errorf("shed traced batch trace id %q, want a fresh non-empty id", id)
+	}
 }
 
 // TestConcurrencyDoesNotChangeBodies is the serving analog of the

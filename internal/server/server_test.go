@@ -287,6 +287,33 @@ func TestSolveRequestValidation(t *testing.T) {
 	}
 }
 
+// TestBoostCappedBeforeAdmission: a boost past the λ cap is a 400 on
+// /v1/solve and fails a whole /v1/batch at intake, before admission. An
+// uncapped boost of 10⁹ used to allocate 8 GB per run and kill the
+// daemon with an unrecoverable runtime out-of-memory error.
+func TestBoostCappedBeforeAdmission(t *testing.T) {
+	path := writeTestSnapshot(t)
+	s := New(Config{Concurrency: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if _, err := s.LoadGraph("g", path); err != nil {
+		t.Fatal(err)
+	}
+	if status, body, _ := post(t, ts.URL+"/v1/solve", `{"graph":"g","boost":1000000000}`); status != http.StatusBadRequest ||
+		!bytes.Contains(body, []byte("Versions")) {
+		t.Errorf("/v1/solve boost 1e9: status %d body %s, want 400 naming Versions", status, body)
+	}
+	if status, body, _ := post(t, ts.URL+"/v1/batch",
+		`{"requests":[{"graph":"g"},{"graph":"g","boost":1000000000}]}`); status != http.StatusBadRequest ||
+		!bytes.Contains(body, []byte("batch item 1")) {
+		t.Errorf("/v1/batch boost 1e9: status %d body %s, want 400 naming item 1", status, body)
+	}
+	if received := s.Stats().Received; received != 0 {
+		t.Errorf("capped boosts reached admission: received=%d", received)
+	}
+}
+
 // TestCacheKeyCanonicalization: explicitly spelling a default must hit
 // the entry an omitted default populated, and changing any parameter
 // must miss.

@@ -174,11 +174,16 @@ func WithSeed(seed int64) Option {
 
 // WithVersions sets the boosting parameter λ of Section 4.1: that many
 // independent sampling+exploration stages feed one decision stage.
-// Default 1 for Solve; Search defaults to 4 unless set explicitly.
+// Default 1 for Solve; Search defaults to 4 unless set explicitly. λ is
+// capped at 64 (core.HardMaxVersions): each version's state is allocated
+// up front.
 func WithVersions(v int) Option {
 	return func(c *config) error {
 		if v < 1 {
 			return fmt.Errorf("nearclique: Versions %d below 1", v)
+		}
+		if v > core.HardMaxVersions {
+			return fmt.Errorf("nearclique: Versions %d above %d", v, core.HardMaxVersions)
 		}
 		c.opts.Versions = v
 		c.versionsSet = true

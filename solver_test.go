@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nearclique"
+	"nearclique/internal/core"
 )
 
 func TestNewValidatesEagerly(t *testing.T) {
@@ -18,6 +19,7 @@ func TestNewValidatesEagerly(t *testing.T) {
 		{"sample zero", nearclique.WithExpectedSample(0)},
 		{"probability high", nearclique.WithSamplingProbability(1.5)},
 		{"versions zero", nearclique.WithVersions(0)},
+		{"versions above cap", nearclique.WithVersions(core.HardMaxVersions + 1)},
 		{"minsize negative", nearclique.WithMinSize(-1)},
 		{"rounds negative", nearclique.WithMaxRounds(-1)},
 		{"component huge", nearclique.WithMaxComponentSize(99)},
